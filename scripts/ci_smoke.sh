@@ -12,6 +12,13 @@ echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q
 
 echo
+echo "== benchmark correctness gate: oltp_wire (3 s) =="
+# the serving workload against a server process (point reads, INSERTs,
+# index-seek UPDATEs, armed trigger, batch-fsync journal); exits 1 on
+# lost firings, an ACCESSED mismatch, or uncommitted journal intents
+python3 perfbench/run.py --workload oltp_wire --seed 1 --seconds 3 --trace 0
+
+echo
 echo "== pipeline benchmark (--quick) =="
 PYTHONPATH=src python benchmarks/bench_pipeline.py --quick
 

@@ -51,6 +51,11 @@ class Catalog:
         #: small churn does not thrash the plan cache
         self.stats_version = 0
         self._stats_buckets: dict[str, int] = {}
+        #: firing-scoped system relations (the trigger manager's
+        #: ``accessed``), kept apart from ``_tables``: they bump no
+        #: version, count toward no statistics epoch, and register
+        #: without the catalog lock
+        self._transient: dict[str, "Table"] = {}
         # Serializes registry mutation, version bumps, and the lazy
         # statistics cache against concurrent DDL / serving threads.
         self._lock = threading.RLock()
@@ -61,22 +66,34 @@ class Catalog:
     def add_table(self, table: "Table", transient: bool = False) -> None:
         """Register a table.
 
-        ``transient=True`` skips the DDL version bump: the table is a
-        short-lived system relation (the trigger manager's ``accessed``)
-        that no cached user plan can reference, so registering it must
-        not invalidate every compiled plan on each trigger firing.
+        ``transient=True`` registers a short-lived system relation (the
+        trigger manager's ``accessed``) that no cached user plan can
+        reference. It skips the DDL version bump, or every firing would
+        invalidate every compiled plan, and it stays out of
+        :meth:`tables` and the statistics epoch, which serving threads
+        read without an engine lock while a firing runs. Callers hold
+        the engine write lock, which orders transient registrations.
         """
+        name = table.schema.name.lower()
+        if transient:
+            if self.has_table(name):
+                raise CatalogError(f"table {name!r} already exists")
+            self._transient[name] = table
+            return
         with self._lock:
-            name = table.schema.name.lower()
-            if name in self._tables:
+            if self.has_table(name):
                 raise CatalogError(f"table {name!r} already exists")
             self._tables[name] = table
-            if not transient:
-                self.version += 1
+            self.version += 1
 
     def drop_table(self, name: str, transient: bool = False) -> None:
+        key = name.lower()
+        if transient:
+            if self._transient.pop(key, None) is None:
+                raise CatalogError(f"table {name!r} does not exist")
+            self._statistics.pop(key, None)
+            return
         with self._lock:
-            key = name.lower()
             if key not in self._tables:
                 raise CatalogError(f"table {name!r} does not exist")
             del self._tables[key]
@@ -86,17 +103,20 @@ class Catalog:
                 for index_name, definition in self._indexes.items()
                 if definition.table != key
             }
-            if not transient:
-                self.version += 1
+            self.version += 1
 
     def table(self, name: str) -> "Table":
-        try:
-            return self._tables[name.lower()]
-        except KeyError:
-            raise CatalogError(f"table {name!r} does not exist") from None
+        key = name.lower()
+        table = self._tables.get(key)
+        if table is None:
+            table = self._transient.get(key)
+            if table is None:
+                raise CatalogError(f"table {name!r} does not exist")
+        return table
 
     def has_table(self, name: str) -> bool:
-        return name.lower() in self._tables
+        key = name.lower()
+        return key in self._tables or key in self._transient
 
     def tables(self) -> Iterator["Table"]:
         return iter(self._tables.values())
@@ -126,13 +146,21 @@ class Catalog:
     # ------------------------------------------------------------------
     # statistics
 
-    def statistics(self, table_name: str) -> TableStatistics:
-        """Return fresh statistics, re-gathering if the table changed."""
+    def statistics(
+        self, table_name: str, stale_ok: bool = False
+    ) -> TableStatistics:
+        """Return fresh statistics, re-gathering if the table changed.
+
+        ``stale_ok=True`` returns the last gathered statistics even when
+        the table has changed since (gathering only if there are none).
+        """
         table = self.table(table_name)
         key = table_name.lower()
         with self._lock:
             cached = self._statistics.get(key)
-            if cached is not None and cached.version == table.version:
+            if cached is not None and (
+                stale_ok or cached.version == table.version
+            ):
                 return cached
             stats = TableStatistics.gather(
                 table.schema.column_names, table.rows(), table.version,
@@ -150,16 +178,25 @@ class Catalog:
         epoch advances exactly when some table's count crosses a bucket
         boundary, i.e. when cached cost estimates are off by more than
         2x. Cheap enough (one ``len`` per table) to run per statement.
+
+        Transient tables are not counted: a firing registers and drops
+        its ``accessed`` relation while other threads read the epoch
+        without an engine lock, and counting it would flap the epoch on
+        every firing and invalidate their cached plans.
+
+        The common case — no bucket moved — takes no lock: every
+        statement calls this, from every serving thread.
         """
-        with self._lock:
-            buckets = {
-                name: len(table).bit_length()
-                for name, table in self._tables.items()
-            }
-            if buckets != self._stats_buckets:
-                self._stats_buckets = buckets
-                self.stats_version += 1
-            return self.stats_version
+        buckets = {
+            name: len(table).bit_length()
+            for name, table in self._tables.copy().items()
+        }
+        if buckets != self._stats_buckets:
+            with self._lock:
+                if buckets != self._stats_buckets:
+                    self._stats_buckets = buckets
+                    self.stats_version += 1
+        return self.stats_version
 
     def sketch_block_selectivity(
         self, table_name: str, column_name: str, ids

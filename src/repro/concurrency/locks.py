@@ -20,11 +20,19 @@ queue behind it, so a stream of short SELECTs cannot starve DML.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from threading import get_ident
 
 
 class ReadWriteLock:
-    """Shared/exclusive lock with per-thread reentrancy."""
+    """Shared/exclusive lock with per-thread reentrancy.
+
+    Re-entering a side the calling thread already holds — or reading
+    under its own write side — skips the condition variable: the
+    thread's own reader count and the write side's owner and nesting
+    change only on the owning thread while it holds them, so a nested
+    statement (a trigger action, the SELECT of an ``INSERT ... SELECT``)
+    pays no lock round trip that another thread could contend.
+    """
 
     def __init__(self) -> None:
         self._condition = threading.Condition()
@@ -33,44 +41,55 @@ class ReadWriteLock:
         self._writer: int | None = None
         self._writer_nesting = 0
         self._writers_waiting = 0
+        self._read_side = _ReadSide(self)
+        self._write_side = _WriteSide(self)
 
     # ------------------------------------------------------------------
     # read side
 
     def acquire_read(self) -> None:
-        me = threading.get_ident()
+        me = get_ident()
+        readers = self._readers
+        nesting = readers.get(me)
+        if nesting is not None:
+            readers[me] = nesting + 1
+            return
+        if self._writer == me:
+            # a nested statement on the thread holding the write side
+            # never blocks (and never deadlocks against itself); no
+            # other thread can hold or take the read side meanwhile
+            readers[me] = 1
+            return
         with self._condition:
-            if self._writer == me or me in self._readers:
-                # reentrant: a nested statement on a thread that already
-                # holds either side never blocks (and never deadlocks
-                # against itself)
-                self._readers[me] = self._readers.get(me, 0) + 1
-                return
             while self._writer is not None or self._writers_waiting:
                 self._condition.wait()
-            self._readers[me] = 1
+            readers[me] = 1
 
     def release_read(self) -> None:
-        me = threading.get_ident()
+        me = get_ident()
+        readers = self._readers
+        nesting = readers.get(me)
+        if nesting is None:
+            raise RuntimeError("release_read without acquire_read")
+        if nesting > 1:
+            readers[me] = nesting - 1
+            return
+        if self._writer == me:
+            del readers[me]  # nobody waits on the writer's own read
+            return
         with self._condition:
-            nesting = self._readers.get(me)
-            if nesting is None:
-                raise RuntimeError("release_read without acquire_read")
-            if nesting > 1:
-                self._readers[me] = nesting - 1
-                return
-            del self._readers[me]
+            del readers[me]
             self._condition.notify_all()
 
     # ------------------------------------------------------------------
     # write side
 
     def acquire_write(self) -> None:
-        me = threading.get_ident()
+        me = get_ident()
+        if self._writer == me:
+            self._writer_nesting += 1
+            return
         with self._condition:
-            if self._writer == me:
-                self._writer_nesting += 1
-                return
             if me in self._readers:
                 raise RuntimeError(
                     "read-to-write lock upgrade would deadlock; release "
@@ -86,43 +105,68 @@ class ReadWriteLock:
             self._writer_nesting = 1
 
     def release_write(self) -> None:
-        me = threading.get_ident()
-        with self._condition:
-            if self._writer != me:
-                raise RuntimeError("release_write without acquire_write")
+        if self._writer != get_ident():
+            raise RuntimeError("release_write without acquire_write")
+        if self._writer_nesting > 1:
             self._writer_nesting -= 1
-            if self._writer_nesting == 0:
-                self._writer = None
-                self._condition.notify_all()
+            return
+        with self._condition:
+            self._writer_nesting = 0
+            self._writer = None
+            self._condition.notify_all()
 
     # ------------------------------------------------------------------
     # context managers and introspection
 
-    @contextmanager
-    def read(self):
-        self.acquire_read()
-        try:
-            yield self
-        finally:
-            self.release_read()
+    def read(self) -> "_ReadSide":
+        """``with lock.read():`` — hold the read side for the block."""
+        return self._read_side
 
-    @contextmanager
-    def write(self):
-        self.acquire_write()
-        try:
-            yield self
-        finally:
-            self.release_write()
+    def write(self) -> "_WriteSide":
+        """``with lock.write():`` — hold the write side for the block."""
+        return self._write_side
 
     def held_read(self) -> bool:
         """True when the calling thread holds the read side."""
         with self._condition:
-            return threading.get_ident() in self._readers
+            return get_ident() in self._readers
 
     def held_write(self) -> bool:
         """True when the calling thread holds the write side."""
         with self._condition:
-            return self._writer == threading.get_ident()
+            return self._writer == get_ident()
+
+
+class _ReadSide:
+    """``with lock.read():`` (reusable: the lock tracks the nesting)."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, lock: ReadWriteLock) -> None:
+        self._lock = lock
+
+    def __enter__(self) -> ReadWriteLock:
+        self._lock.acquire_read()
+        return self._lock
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self._lock.release_read()
+
+
+class _WriteSide:
+    """``with lock.write():`` (reusable: the lock tracks the nesting)."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, lock: ReadWriteLock) -> None:
+        self._lock = lock
+
+    def __enter__(self) -> ReadWriteLock:
+        self._lock.acquire_write()
+        return self._lock
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self._lock.release_write()
 
 
 __all__ = ["ReadWriteLock"]

@@ -30,6 +30,7 @@ import datetime
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from repro.audit.manager import AuditManager
@@ -60,6 +61,7 @@ from repro.durability.journal import encode_id
 from repro.testing.faults import NO_FAULTS, FaultInjector
 from repro.exec.context import DEFAULT_BATCH_SIZE, ExecutionContext, Session
 from repro.exec.operators.base import PhysicalOperator, collect_rows
+from repro.expr.compiler import compile_expression
 from repro.expr.evaluator import evaluate
 from repro.expr.nodes import Expression
 from repro.optimizer.optimizer import Optimizer
@@ -70,6 +72,7 @@ from repro.sql import ast
 from repro.sql.parser import parse_statement, parse_statements_with_text
 from repro.storage.blocks import DEFAULT_BLOCK_CAPACITY
 from repro.storage.table import Table
+from repro.storage.undo import UndoLog
 from repro.triggers.definitions import DmlTrigger, SelectTrigger
 from repro.triggers.manager import TriggerManager
 
@@ -200,8 +203,8 @@ class Database:
         self.audit_gaps: list[dict] = []
         # journal sequence numbers whose firings completed in this
         # process — the dedup set for at-least-once recovery replay
+        # (single set operations: atomic under the GIL, no lock needed)
         self._applied_seqs: set[int] = set()
-        self._seq_lock = threading.Lock()
         # audit_trail_health() baseline set by acknowledge_audit_failures
         self._acknowledged_failures: dict[str, int] = {}
         # replication (DESIGN.md §13): a read-only engine refuses
@@ -461,8 +464,7 @@ class Database:
         )
 
     def is_seq_applied(self, seq: int) -> bool:
-        with self._seq_lock:
-            return seq in self._applied_seqs
+        return seq in self._applied_seqs
 
     def mark_seq_applied(self, seq: int, recovered: bool = False) -> None:
         """Record that intent ``seq``'s firing completed in this process.
@@ -471,8 +473,7 @@ class Database:
         journaled when a journal is attached, so post-crash verification
         tools see the replay.
         """
-        with self._seq_lock:
-            self._applied_seqs.add(seq)
+        self._applied_seqs.add(seq)
         if recovered and self._journal is not None:
             try:
                 self._journal.append(
@@ -845,8 +846,14 @@ class Database:
         statement: ast.Statement,
         scope_columns: tuple[PlanColumn, ...] | None = None,
         pseudo_row: tuple | None = None,
+        source: CachedPlan | None = None,
     ) -> QueryResult:
-        """Execute one trigger-body statement (NEW/OLD row optional)."""
+        """Execute one trigger-body statement (NEW/OLD row optional).
+
+        ``source`` is the statement's SELECT (an ``INSERT ... SELECT``
+        source or a bare SELECT) already compiled by
+        :meth:`compile_select`; it runs instead of compiling it again.
+        """
         self._trigger_local.depth = self._trigger_depth + 1
         try:
             return self._execute_statement(
@@ -854,6 +861,7 @@ class Database:
                 None,
                 scope_columns=scope_columns,
                 pseudo_row=pseudo_row,
+                source=source,
             )
         finally:
             self._trigger_local.depth = self._trigger_depth - 1
@@ -869,6 +877,7 @@ class Database:
         pseudo_row: tuple | None = None,
         sql_key: str | None = None,
         source_sql: str | None = None,
+        source: CachedPlan | None = None,
     ) -> QueryResult:
         if isinstance(statement, ast.SelectStatement):
             # SELECTs run under the shared (read) side of the engine
@@ -876,7 +885,7 @@ class Database:
             # can happen after the lock is released
             return self._execute_select(
                 statement, parameters, scope_columns, pseudo_row,
-                sql_key=sql_key,
+                sql_key=sql_key, source=source,
             )
         if (
             self.read_only
@@ -895,7 +904,7 @@ class Database:
         # Reentrant: trigger bodies and cascades already hold it.
         with self._engine_lock.write():
             result = self._execute_write_statement(
-                statement, parameters, scope_columns, pseudo_row
+                statement, parameters, scope_columns, pseudo_row, source
             )
             if (
                 self.replicate_statements
@@ -916,11 +925,12 @@ class Database:
         parameters: dict[str, object] | None,
         scope_columns: tuple[PlanColumn, ...] | None = None,
         pseudo_row: tuple | None = None,
+        source: CachedPlan | None = None,
     ) -> QueryResult:
         if isinstance(statement, ast.InsertStatement):
             return self._atomic_dml(
                 lambda: self._execute_insert(
-                    statement, parameters, scope_columns, pseudo_row
+                    statement, parameters, scope_columns, pseudo_row, source
                 )
             )
         if isinstance(statement, ast.UpdateStatement):
@@ -1029,32 +1039,47 @@ class Database:
         scope_columns: tuple[PlanColumn, ...] | None = None,
         pseudo_row: tuple | None = None,
         sql_key: str | None = None,
+        source: CachedPlan | None = None,
     ) -> QueryResult:
+        if source is None:
+            source = self.compile_select(statement, scope_columns, sql_key)
+        return self._run_select(
+            source.column_names, source.physical, parameters, pseudo_row
+        )
+
+    def compile_select(
+        self,
+        statement: ast.SelectStatement,
+        scope_columns: tuple[PlanColumn, ...] | None = None,
+        sql_key: str | None = None,
+    ) -> CachedPlan:
+        """Bind, rewrite, instrument and compile one SELECT.
+
+        Top-level SELECTs (``sql_key`` set) are stored in the plan cache
+        under their SQL text. SELECT-trigger actions are cached per
+        trigger by the trigger manager; DML-trigger body selects see
+        NEW/OLD pseudo-rows through their scope and compile per firing.
+        """
         outer_scope = Scope(scope_columns) if scope_columns else None
         # compile under the read side: binding and planning read the
-        # catalog, statistics, and audit configuration
+        # catalog, statistics, and audit configuration, and the tags
+        # taken under the same hold describe what the plan was built on
         with self._engine_lock.read():
             logical = self._builder.build_select(statement, outer_scope)
             column_names = tuple(column.name for column in logical.columns)
             logical = self._optimizer.optimize_logical(
                 logical, instrument=self._instrument_hook()
             )
-            physical = self._optimizer.compile(logical)
-            # Top-level SELECTs are cacheable; trigger-body selects see
-            # NEW/OLD pseudo-rows through their scope and are compiled
-            # fresh each time.
-            if sql_key is not None and scope_columns is None \
-                    and pseudo_row is None:
-                self.plan_cache.store(
-                    CachedPlan(
-                        sql=sql_key,
-                        column_names=column_names,
-                        logical=logical,
-                        physical=physical,
-                        tags=self._plan_cache_tags(),
-                    )
-                )
-        return self._run_select(column_names, physical, parameters, pseudo_row)
+            plan = CachedPlan(
+                sql=sql_key or "",
+                column_names=column_names,
+                logical=logical,
+                physical=self._optimizer.compile(logical),
+                tags=self._plan_cache_tags(),
+            )
+            if sql_key is not None:
+                self.plan_cache.store(plan)
+        return plan
 
     def _run_select(
         self,
@@ -1240,8 +1265,6 @@ class Database:
         savepoint on failure (the transaction stays open); in autocommit a
         fresh per-statement undo scope is created and dropped.
         """
-        from repro.storage.undo import UndoLog
-
         created_scope = self._active_undo is None
         if created_scope:
             self._active_undo = UndoLog(self.catalog)
@@ -1259,7 +1282,6 @@ class Database:
         self, statement: ast.TransactionStatement
     ) -> QueryResult:
         from repro.errors import TransactionError
-        from repro.storage.undo import UndoLog
 
         if statement.action == "begin":
             if self._in_explicit_transaction:
@@ -1314,14 +1336,15 @@ class Database:
         parameters: dict[str, object] | None,
         scope_columns: tuple[PlanColumn, ...] | None = None,
         pseudo_row: tuple | None = None,
+        source: CachedPlan | None = None,
     ) -> QueryResult:
         table = self.catalog.table(statement.table)
         schema = table.schema
         if statement.select is not None:
-            source = self._execute_select(
-                statement.select, parameters, scope_columns, pseudo_row
-            )
-            value_rows: Iterable[tuple] = source.rows
+            value_rows: Iterable[tuple] = self._execute_select(
+                statement.select, parameters, scope_columns, pseudo_row,
+                source=source,
+            ).rows
         else:
             outer_scope = Scope(scope_columns) if scope_columns else None
             base_rows = (pseudo_row,) if pseudo_row is not None else ()
@@ -1402,6 +1425,34 @@ class Database:
         )
         return Scope(columns)
 
+    def _dml_targets(
+        self,
+        table: Table,
+        where: Expression | None,
+        scope: Scope,
+        context: ExecutionContext,
+    ) -> list[tuple[int, tuple]]:
+        """The ``(rid, row)`` pairs an UPDATE or DELETE changes.
+
+        They are found through the access path a SELECT with the same
+        predicate would use — equality seek, index range, or a full scan
+        running the compiled predicate — and kept only where the
+        predicate is ``True`` (three-valued). All targets are
+        materialized before any change is applied (Halloween safety),
+        in rid order, so the order rows change in — and with it the
+        order of DML-trigger firings and which row trips a constraint —
+        does not depend on the access path.
+        """
+        predicate = (
+            self._builder.bind_expression(where, scope)
+            if where is not None
+            else None
+        )
+        path = self._optimizer.dml_access_path(table, predicate)
+        targets = list(path.rid_rows(context))
+        targets.sort(key=itemgetter(0))
+        return targets
+
     def _execute_update(
         self,
         statement: ast.UpdateStatement,
@@ -1409,28 +1460,23 @@ class Database:
     ) -> QueryResult:
         table = self.catalog.table(statement.table)
         scope = self._table_scope(table)
-        predicate = (
-            self._builder.bind_expression(statement.where, scope)
-            if statement.where is not None
-            else None
-        )
         assignments = [
             (
                 table.schema.position_of(column),
-                self._builder.bind_expression(expression, scope),
+                compile_expression(
+                    self._builder.bind_expression(expression, scope)
+                ),
             )
             for column, expression in statement.assignments
         ]
         context = self.make_context(parameters)
         pending: list[tuple[int, tuple]] = []
-        for rid, row in table.rows_with_rids():
-            if predicate is not None and evaluate(
-                predicate, row, context
-            ) is not True:
-                continue
+        for rid, row in self._dml_targets(
+            table, statement.where, scope, context
+        ):
             new_row = list(row)
-            for position, expression in assignments:
-                new_row[position] = evaluate(expression, row, context)
+            for position, value in assignments:
+                new_row[position] = value(row, context)
             pending.append((rid, tuple(new_row)))
         for rid, new_row in pending:
             table.update_rid(rid, new_row)
@@ -1442,20 +1488,11 @@ class Database:
         parameters: dict[str, object] | None,
     ) -> QueryResult:
         table = self.catalog.table(statement.table)
-        scope = self._table_scope(table)
-        predicate = (
-            self._builder.bind_expression(statement.where, scope)
-            if statement.where is not None
-            else None
-        )
         context = self.make_context(parameters)
-        doomed = [
-            rid
-            for rid, row in table.rows_with_rids()
-            if predicate is None
-            or evaluate(predicate, row, context) is True
-        ]
-        for rid in doomed:
+        doomed = self._dml_targets(
+            table, statement.where, self._table_scope(table), context
+        )
+        for rid, _row in doomed:
             table.delete_rid(rid)
         return QueryResult(rowcount=len(doomed))
 

@@ -82,6 +82,10 @@ class ScanResult:
     corrupt: int = 0
 
 
+#: one shared encoder: ``json.dumps`` with options builds a new one per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def encode_record(payload: dict) -> bytes:
     """One journal line: crc32 of the compact JSON, then the JSON.
 
@@ -91,15 +95,31 @@ def encode_record(payload: dict) -> bytes:
     lossy stand-in. Rich partition-ID types go through
     :func:`encode_id` first.
     """
+    return _frame(_encode_json(payload))
+
+
+def _encode_json(value: object) -> str:
     try:
-        data = json.dumps(
-            payload, separators=(",", ":"), sort_keys=True
-        ).encode("utf-8")
+        return _ENCODER.encode(value)
     except (TypeError, ValueError) as error:
         raise DurabilityError(
             f"journal payload is not JSON-serializable: {error}"
         ) from error
+
+
+def _frame(text: str) -> bytes:
+    data = text.encode("utf-8")
     return b"%08x " % zlib.crc32(data) + data + b"\n"
+
+
+def _record_line(seq: int, kind: str, data_json: str) -> bytes:
+    """``encode_record({"seq": seq, "kind": kind, "data": data})`` given
+    ``data`` already encoded: the keys in sorted order, as the encoder
+    writes them, so the bytes are identical."""
+    return _frame(
+        '{"data":%s,"kind":%s,"seq":%d}'
+        % (data_json, _ENCODER.encode(kind), seq)
+    )
 
 
 #: tag key marking a non-JSON-native partition ID in a journal payload
@@ -393,6 +413,8 @@ class AuditJournal:
         self._faults = faults
         self._lock = threading.Lock()
         self._unsynced = 0
+        #: owed ``'batch'`` fsyncs running outside the lock
+        self._syncing = 0
         self._closed = False
         #: appends that reached the file (telemetry for benchmarks)
         self.appended = 0
@@ -419,57 +441,111 @@ class AuditJournal:
             self._next_seq = 0
             self._segment_index = 0
             self._segment_path = self.path / _segment_name(0)
-        self._handle = open(self._segment_path, "ab")
+        self._open_segment()
 
     # ------------------------------------------------------------------
     # append side
 
+    def _open_segment(self) -> None:
+        """Open the current segment for append and learn its size.
+
+        The size is tracked in Python from here on (``_offset``), so an
+        append costs no ``tell()`` system call on the serving thread. It
+        only decides when to rotate: a write that fails part-way leaves
+        it off by at most one line, which moves a rotation, not a record.
+        """
+        self._handle = open(self._segment_path, "ab")
+        self._offset = os.fstat(self._handle.fileno()).st_size
+
     def append(self, kind: str, data: dict) -> int:
-        """Durably append one record; returns its sequence number."""
+        """Durably append one record; returns its sequence number.
+
+        The lock covers only sequencing and the copy into the file
+        buffer. The payload is encoded before it; the flush that hands
+        the line to the OS, and under ``'batch'`` the fsync this append
+        owes, run after it. Both release the GIL, and holding the lock
+        across them would queue every concurrent appender behind the
+        system call. The policy is unchanged: the flush — and the owed
+        fsync, which covers every earlier line — completes before
+        ``append`` returns, by this thread or by a rotation or close
+        that flushed and synced the segment first. ``'always'`` syncs
+        under the lock.
+        """
+        body = _encode_json(data)
         with self._lock:
             if self._closed:
                 raise DurabilityError("audit journal is closed")
             self._faults.fire("journal-write")
             seq = self._next_seq
-            line = encode_record({"seq": seq, "kind": kind, "data": data})
-            if self._handle.tell() + len(line) > self._segment_max_bytes \
-                    and self._handle.tell() > 0:
+            line = _record_line(seq, kind, body)
+            if self._offset + len(line) > self._segment_max_bytes \
+                    and self._offset > 0:
                 self._rotate()
-            self._handle.write(line)
+            handle = self._handle
+            handle.write(line)
+            self._offset += len(line)
             self._next_seq = seq + 1
             self.appended += 1
-            self._handle.flush()
             if self.fsync == "always":
-                self._fsync()
-            elif self.fsync == "batch":
+                self._sync()
+                return seq
+            owes_sync = False
+            if self.fsync == "batch":
                 self._unsynced += 1
                 if self._unsynced >= self._batch_interval:
-                    self._fsync()
-            return seq
+                    self._unsynced = 0
+                    self._syncing += 1
+                    owes_sync = True
+        synced = False
+        try:
+            if owes_sync:
+                self._fsync(handle)
+                synced = True
+            else:
+                handle.flush()
+        except ValueError:
+            if not handle.closed:
+                raise
+            # rotated or closed meanwhile: that flushed and synced it
+        finally:
+            if owes_sync:
+                with self._lock:
+                    self._syncing -= 1
+                    if synced:
+                        self.fsyncs += 1
+                    elif not handle.closed:
+                        # failed: the next append owes the sync again
+                        self._unsynced = self._batch_interval
+        return seq
 
     def _rotate(self) -> None:
         if self.fsync != "off":
-            self._handle.flush()
-            self._fsync()
+            self._sync()
         self._handle.close()
         self._segment_index += 1
         self._segment_path = self.path / _segment_name(self._segment_index)
-        self._handle = open(self._segment_path, "ab")
+        self._open_segment()
 
-    def _fsync(self) -> None:
-        self._faults.fire("journal-fsync")
-        os.fsync(self._handle.fileno())
+    def _sync(self) -> None:
+        """Flush and fsync the current segment (journal lock held)."""
+        self._fsync(self._handle)
         self.fsyncs += 1
         self._unsynced = 0
+
+    def _fsync(self, handle) -> None:
+        handle.flush()
+        self._faults.fire("journal-fsync")
+        os.fsync(handle.fileno())
 
     def flush(self) -> None:
         """Flush buffers; fsync unless the policy is ``'off'``."""
         with self._lock:
             if self._closed:
                 return
-            self._handle.flush()
             if self.fsync != "off":
-                self._fsync()
+                self._sync()
+            else:
+                self._handle.flush()
 
     @property
     def next_seq(self) -> int:
@@ -484,9 +560,11 @@ class AuditJournal:
             if self._closed:
                 return
             self._handle.flush()
-            if self.fsync != "off" and self._unsynced:
+            # an append's owed fsync may still be in flight outside the
+            # lock; closing the file makes it a no-op, so sync here
+            if self.fsync != "off" and (self._unsynced or self._syncing):
                 try:
-                    self._fsync()
+                    self._sync()
                 except BaseException:  # noqa: BLE001 — best-effort close
                     pass
             self._closed = True

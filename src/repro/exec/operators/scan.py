@@ -152,26 +152,22 @@ class TableScan(PhysicalOperator):
             bounds.append((op, position, value))
         return tuple(bounds)
 
-    def _live_blocks(self, context: "ExecutionContext"):
-        """Yield ``(block, live_rows, summary)`` per non-skipped block.
+    def _candidate_blocks(self, context: "ExecutionContext"):
+        """Yield ``(block, summary)`` per block the zone maps admit.
 
         ``summary`` is the block's fresh :class:`BlockSummary` when the
         zone-map consult fetched one, else ``None`` — downstream consults
         (the audit sketch, the lineage-candidate sketch) reuse it instead
         of re-fetching, so each block is summarized at most once per scan.
-        Rows are tombstone-filtered but *not* yet predicate-filtered.
         """
         table = self._table
-        hidden = context.tombstones.get(table.schema.name)
-        pk_positions = self._pk_positions
-        skipping = context.data_skipping
         bounds = (
             self._zone_bounds(context)
-            if skipping and self._sargable else ()
+            if context.data_skipping and self._sargable else ()
         )
         for block in table.blocks():
             summary = None
-            if skipping and bounds:
+            if bounds:
                 summary = table.fresh_summary(block)
                 if not all(
                     summary.may_match(position, op, value)
@@ -180,6 +176,17 @@ class TableScan(PhysicalOperator):
                     context.blocks_zone_skipped += 1
                     continue
             context.blocks_scanned += 1
+            yield block, summary
+
+    def _live_blocks(self, context: "ExecutionContext"):
+        """Yield ``(block, live_rows, summary)`` per non-skipped block.
+
+        Rows are tombstone-filtered but *not* yet predicate-filtered.
+        """
+        table = self._table
+        hidden = context.tombstones.get(table.schema.name)
+        pk_positions = self._pk_positions
+        for block, summary in self._candidate_blocks(context):
             with table._lock:
                 rows = block.rows_snapshot()
             if hidden is not None and pk_positions:
@@ -191,6 +198,28 @@ class TableScan(PhysicalOperator):
                 ]
             if rows:
                 yield block, rows, summary
+
+    def rid_rows(self, context: "ExecutionContext"):
+        """Yield ``(rid, row)`` for every row the scan outputs.
+
+        The UPDATE/DELETE target search: same blocks, zone-map skips,
+        tombstones and compiled predicate as :meth:`scan_blocks`, with
+        each row's heap address kept.
+        """
+        table = self._table
+        predicate = self._compiled
+        hidden = context.tombstones.get(table.schema.name)
+        pk_positions = self._pk_positions
+        for block, _summary in self._candidate_blocks(context):
+            with table._lock:
+                items = list(block.rows.items())
+            for rid, row in items:
+                if hidden is not None and pk_positions and tuple(
+                    row[position] for position in pk_positions
+                ) in hidden:
+                    continue
+                if predicate is None or predicate(row, context) is True:
+                    yield rid, row
 
     def scan_blocks(self, context: "ExecutionContext"):
         """Yield ``(block, surviving_rows, summary)`` per non-skipped block.
@@ -319,28 +348,27 @@ class IndexSeek(PhysicalOperator):
         self._index_name = index_name
         self._key_expressions = key_expressions
         self._residual = residual
+        self._compiled = (
+            compile_predicate(residual) if residual is not None else None
+        )
         self._pk_positions = table.schema.primary_key_positions()
 
     @property
     def table(self) -> "Table":
         return self._table
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
+    def rid_rows(self, context: "ExecutionContext"):
+        """Yield ``(rid, row)`` for every row the seek outputs."""
         index = self._table.secondary_index(self._index_name)
         key = tuple(
             evaluate(expression, (), context)
             for expression in self._key_expressions
         )
-        hidden = context.tombstones.get(self._table.schema.name)
-        for rid in index.seek(key):
-            row = self._table.row_by_rid(rid)
-            if hidden is not None and self._pk_positions:
-                pk = tuple(row[p] for p in self._pk_positions)
-                if pk in hidden:
-                    continue
-            if self._residual is not None:
-                if evaluate(self._residual, row, context) is not True:
-                    continue
+        return _fetch(self._table, index.seek(key), self._pk_positions,
+                      self._compiled, context)
+
+    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
+        for _rid, row in self.rid_rows(context):
             yield row
 
     def rows_lineage(self, context: "ExecutionContext"):
@@ -382,38 +410,39 @@ class IndexRange(PhysicalOperator):
         self._low_inclusive = low_inclusive
         self._high_inclusive = high_inclusive
         self._residual = residual
+        self._compiled = (
+            compile_predicate(residual) if residual is not None else None
+        )
         self._pk_positions = table.schema.primary_key_positions()
 
     @property
     def table(self) -> "Table":
         return self._table
 
-    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
+    def rid_rows(self, context: "ExecutionContext"):
+        """Yield ``(rid, row)`` for every row the range scan outputs."""
         index = self._table.secondary_index(self._index_name)
         if not isinstance(index, OrderedIndex):
             raise ExecutionError(
                 f"index {self._index_name!r} does not support range scans"
             )
-        low = (
-            (evaluate(self._low, (), context),)
-            if self._low is not None else None
-        )
-        high = (
-            (evaluate(self._high, (), context),)
-            if self._high is not None else None
-        )
-        hidden = context.tombstones.get(self._table.schema.name)
-        for rid in index.range_scan(
+        low = high = None
+        if self._low is not None:
+            low = (evaluate(self._low, (), context),)
+        if self._high is not None:
+            high = (evaluate(self._high, (), context),)
+        if low == (None,) or high == (None,):
+            # ``col <op> NULL`` is never true; an index range would read
+            # the NULL bound as the smallest key instead
+            return iter(())
+        rids = index.range_scan(
             low, high, self._low_inclusive, self._high_inclusive
-        ):
-            row = self._table.row_by_rid(rid)
-            if hidden is not None and self._pk_positions:
-                pk = tuple(row[p] for p in self._pk_positions)
-                if pk in hidden:
-                    continue
-            if self._residual is not None:
-                if evaluate(self._residual, row, context) is not True:
-                    continue
+        )
+        return _fetch(self._table, rids, self._pk_positions,
+                      self._compiled, context)
+
+    def rows(self, context: "ExecutionContext") -> Iterator[tuple]:
+        for _rid, row in self.rid_rows(context):
             yield row
 
     def rows_lineage(self, context: "ExecutionContext"):
@@ -433,6 +462,21 @@ class IndexRange(PhysicalOperator):
         return (
             f"IndexRange({self._table.schema.name}.{self._index_name})"
         )
+
+
+def _fetch(table: "Table", rids, pk_positions, residual, context):
+    """``(rid, row)`` of the index hits ``rids`` that are not tombstoned
+    and that the compiled ``residual`` (if any) accepts."""
+    hidden = context.tombstones.get(table.schema.name)
+    for rid in rids:
+        row = table.row_by_rid(rid)
+        if hidden is not None and pk_positions and tuple(
+            row[position] for position in pk_positions
+        ) in hidden:
+            continue
+        if residual is not None and residual(row, context) is not True:
+            continue
+        yield rid, row
 
 
 class OneRowSource(PhysicalOperator):

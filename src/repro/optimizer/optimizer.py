@@ -77,3 +77,11 @@ class Optimizer:
 
     def compile(self, plan: LogicalPlan) -> PhysicalOperator:
         return self._planner.compile(plan)
+
+    def dml_access_path(self, table, predicate) -> PhysicalOperator:
+        """Target search of an UPDATE/DELETE: the access path a SELECT
+        scan with ``predicate`` would use, planned on the last gathered
+        statistics (see :meth:`PhysicalPlanner.access_path`)."""
+        return self._planner.access_path(
+            table, predicate, fresh_statistics=False
+        )

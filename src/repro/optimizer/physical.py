@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Callable, Container
 
 from repro.errors import PlanError
 from repro.expr.nodes import (
+    Between,
     Binary,
     ColumnRef,
     Expression,
@@ -143,9 +144,29 @@ class PhysicalPlanner:
 
     def _compile_scan(self, plan: L.Scan) -> PhysicalOperator:
         table = self._catalog.table(plan.table_name)
-        if plan.predicate is None:
+        return self.access_path(table, plan.predicate)
+
+    def access_path(
+        self,
+        table,
+        predicate: Expression | None,
+        fresh_statistics: bool = True,
+    ) -> PhysicalOperator:
+        """The leaf operator reading ``table`` rows that ``predicate``
+        accepts: an equality seek, else an index range, else a full scan.
+
+        SELECT scans and UPDATE/DELETE target search both come through
+        here, so the two never disagree on how a predicate is matched.
+        With ``fresh_statistics=False`` the range decision reuses the
+        last gathered statistics of a table that has changed since,
+        instead of re-gathering them: a DML statement plans once per
+        execution, and a re-gather scans the whole table — the cost the
+        index is there to avoid. Statistics steer only the choice of
+        path, never the rows it yields.
+        """
+        if predicate is None:
             return TableScan(table)
-        remaining = conjuncts(plan.predicate)
+        remaining = conjuncts(predicate)
 
         # equality seek: col = <row-independent expression>
         for index_name, index in table.secondary_indexes().items():
@@ -160,14 +181,14 @@ class PhysicalPlanner:
                     )
                     return IndexSeek(table, index_name, (key,), residual)
 
-        # range scan: col </<=/>/>= <row-independent expression>
-        seek = self._try_index_range(table, remaining)
+        # range scan: col </<=/>/>= or BETWEEN <row-independent bounds>
+        seek = self._try_index_range(table, remaining, fresh_statistics)
         if seek is not None:
             return seek
-        return TableScan(table, plan.predicate)
+        return TableScan(table, predicate)
 
     def _try_index_range(
-        self, table, remaining: list[Expression]
+        self, table, remaining: list[Expression], fresh_statistics: bool
     ) -> PhysicalOperator | None:
         from repro.storage.index import OrderedIndex
 
@@ -179,6 +200,12 @@ class PhysicalPlanner:
             low_inclusive = high_inclusive = True
             used: list[Expression] = []
             for conjunct in remaining:
+                between = _between_bounds(conjunct, position)
+                if between is not None:
+                    if low is None and high is None:
+                        low, high = between
+                        used.append(conjunct)
+                    continue
                 bound = _range_bound(conjunct, position)
                 if bound is None:
                     continue
@@ -192,7 +219,9 @@ class PhysicalPlanner:
             if low is None and high is None:
                 continue
             column_name = table.schema.columns[position].name
-            stats = self._catalog.statistics(table.schema.name)
+            stats = self._catalog.statistics(
+                table.schema.name, stale_ok=not fresh_statistics
+            )
             column_stats = stats.columns.get(column_name)
             if column_stats is not None:
                 from repro.expr.nodes import Literal
@@ -391,6 +420,25 @@ def _range_bound(
     ):
         return flipped[op], left
     return None
+
+
+def _between_bounds(
+    conjunct: Expression, position: int
+) -> tuple[Expression, Expression] | None:
+    """Match ``col@position BETWEEN <row-independent> AND <...>``."""
+    if not isinstance(conjunct, Between) or conjunct.negated:
+        return None
+    operand = conjunct.operand
+    if not (
+        isinstance(operand, ColumnRef)
+        and operand.outer_level == 0
+        and operand.index == position
+    ):
+        return None
+    for bound in (conjunct.low, conjunct.high):
+        if referenced_slots(bound) or contains_subquery(bound):
+            return None
+    return conjunct.low, conjunct.high
 
 
 def _equi_pair(

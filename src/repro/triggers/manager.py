@@ -3,7 +3,9 @@
 SELECT-trigger actions run *after* the reading query finishes (or aborts),
 as their own system transaction, with the ACCESSED internal state exposed
 as a relation named ``accessed`` whose single column is the audit
-expression's partition-by key. DML triggers fire per modified row with the
+expression's partition-by key. Each trigger keeps that relation as one
+reusable table, refilled per firing, and compiles its body's SELECTs once
+against it (:class:`_Action`). DML triggers fire per modified row with the
 ``NEW``/``OLD`` pseudo-rows in scope.
 
 Cascades are bounded by :data:`MAX_TRIGGER_DEPTH` (32, as in SQL Server):
@@ -18,6 +20,8 @@ from typing import TYPE_CHECKING
 
 from repro.catalog.schema import Column, TableSchema
 from repro.errors import AccessDeniedError, TriggerError
+from repro.plancache import CachedPlan
+from repro.sql import ast
 from repro.storage.table import RowChange, Table
 from repro.triggers.definitions import DmlTrigger, SelectTrigger
 
@@ -33,8 +37,15 @@ class TriggerManager:
     def __init__(self, database: "Database") -> None:
         self._database = database
         self._select_triggers: dict[str, SelectTrigger] = {}
+        #: timings of the registered SELECT triggers, and the triggers
+        #: by audit expression (creation order)
+        self._timings: frozenset[str] = frozenset()
+        self._by_expression: dict[str, tuple[SelectTrigger, ...]] = {}
         self._dml_triggers: dict[str, DmlTrigger] = {}
         self._observed_tables: set[str] = set()
+        #: SELECT trigger name -> compiled firing state (engine write
+        #: lock held: firings and trigger DDL both take it)
+        self._actions: dict[str, _Action] = {}
         # cascade depth is per-thread: the async pipeline worker fires
         # triggers concurrently with serving threads' own cascades
         self._local = threading.local()
@@ -46,6 +57,7 @@ class TriggerManager:
         self._database.audit_manager.expression(trigger.audit_expression)
         self._database.catalog.add_trigger(trigger.name, trigger)
         self._select_triggers[trigger.name.lower()] = trigger
+        self._index_select_triggers()
 
     def add_dml_trigger(self, trigger: DmlTrigger) -> None:
         table = self._database.catalog.table(trigger.table)  # validates
@@ -60,6 +72,8 @@ class TriggerManager:
         key = name.lower()
         if key in self._select_triggers:
             del self._select_triggers[key]
+            self._actions.pop(key, None)
+            self._index_select_triggers()
         elif key in self._dml_triggers:
             del self._dml_triggers[key]
         else:
@@ -67,20 +81,24 @@ class TriggerManager:
         self._database.catalog.drop_trigger(name)
 
     def select_triggers_for(self, audit_expression: str
-                            ) -> list[SelectTrigger]:
-        return [
-            trigger
-            for trigger in self._select_triggers.values()
-            if trigger.audit_expression == audit_expression.lower()
-        ]
+                            ) -> tuple[SelectTrigger, ...]:
+        return self._by_expression.get(audit_expression.lower(), ())
 
     def has_select_triggers(self, timing: str | None = None) -> bool:
         if timing is None:
             return bool(self._select_triggers)
-        return any(
-            trigger.timing == timing
-            for trigger in self._select_triggers.values()
-        )
+        return timing in self._timings
+
+    def _index_select_triggers(self) -> None:
+        # read on every audited statement: kept precomputed
+        triggers = self._select_triggers.values()
+        self._timings = frozenset(trigger.timing for trigger in triggers)
+        by_expression: dict[str, tuple[SelectTrigger, ...]] = {}
+        for trigger in triggers:
+            by_expression[trigger.audit_expression] = (
+                by_expression.get(trigger.audit_expression, ()) + (trigger,)
+            )
+        self._by_expression = by_expression
 
     # ------------------------------------------------------------------
     # SELECT trigger firing (§II: after the query, own transaction)
@@ -101,29 +119,26 @@ class TriggerManager:
         self, trigger: SelectTrigger, audit_name: str, ids: set
     ) -> None:
         database = self._database
-        expression = database.audit_manager.expression(audit_name)
-        sensitive = database.catalog.table(expression.sensitive_table)
-        id_column = sensitive.schema.column(expression.partition_by)
-
         if database.catalog.has_table("accessed"):
             raise TriggerError(
                 "a relation named 'accessed' already exists; it is "
                 "reserved for SELECT trigger actions"
             )
-        schema = TableSchema(
-            name="accessed",
-            columns=(Column(id_column.name, id_column.data_type),),
-        )
-        accessed_table = Table(schema)
-        accessed_table.bulk_load((value,) for value in sorted(ids, key=repr))
+        action = self._action(trigger, audit_name)
+        accessed = action.accessed
+        accessed.truncate()
+        accessed.bulk_load((value,) for value in sorted(ids, key=repr))
         # transient: the firing-scoped system relation must not bump the
         # catalog DDL version, or every firing would flush the plan cache
-        database.catalog.add_table(accessed_table, transient=True)
+        database.catalog.add_table(accessed, transient=True)
         try:
             self._enter()
             try:
-                for statement in trigger.body:
-                    database.execute_trigger_statement(statement)
+                for position, statement in enumerate(trigger.body):
+                    database.execute_trigger_statement(
+                        statement,
+                        source=action.source(position, statement, database),
+                    )
             except AccessDeniedError:
                 if trigger.timing != "before":
                     raise TriggerError(
@@ -135,6 +150,26 @@ class TriggerManager:
                 self._leave()
         finally:
             database.catalog.drop_table("accessed", transient=True)
+
+    def _action(self, trigger: SelectTrigger, audit_name: str) -> "_Action":
+        """The trigger's compiled firing state, rebuilt when the engine's
+        plan-cache tags have moved since it was built (table, index,
+        trigger or audit DDL, a statistics epoch, a planning knob)."""
+        database = self._database
+        tags = database._plan_cache_tags()
+        action = self._actions.get(trigger.name)
+        if action is not None and action.tags == tags:
+            return action
+        expression = database.audit_manager.expression(audit_name)
+        sensitive = database.catalog.table(expression.sensitive_table)
+        id_column = sensitive.schema.column(expression.partition_by)
+        schema = TableSchema(
+            name="accessed",
+            columns=(Column(id_column.name, id_column.data_type),),
+        )
+        action = _Action(tags, Table(schema))
+        self._actions[trigger.name] = action
+        return action
 
     # ------------------------------------------------------------------
     # DML trigger firing (row-level AFTER)
@@ -175,6 +210,43 @@ class TriggerManager:
 
     def _leave(self) -> None:
         self._local.depth = getattr(self._local, "depth", 1) - 1
+
+
+class _Action:
+    """One SELECT trigger's firing state, compiled once per ``tags``.
+
+    ``accessed`` is the trigger's reusable transient relation: each
+    firing refills it and binds it to the name ``accessed`` for the
+    duration of the action. ``sources`` holds the compiled plan of each
+    body statement that reads a SELECT (``INSERT ... SELECT`` or a bare
+    SELECT), by body position; those plans scan ``accessed`` itself, so
+    they stay valid exactly as long as it does. ``sql_text()`` and
+    ``user_id()`` are read from the session when a plan runs, so they
+    are per-firing values.
+    """
+
+    __slots__ = ("tags", "accessed", "sources")
+
+    def __init__(self, tags: tuple, accessed: Table) -> None:
+        self.tags = tags
+        self.accessed = accessed
+        self.sources: dict[int, CachedPlan] = {}
+
+    def source(
+        self, position: int, statement: ast.Statement, database: "Database"
+    ) -> CachedPlan | None:
+        plan = self.sources.get(position)
+        if plan is None:
+            if isinstance(statement, ast.SelectStatement):
+                select = statement
+            elif isinstance(statement, ast.InsertStatement):
+                select = statement.select
+            else:
+                return None
+            if select is None:
+                return None
+            plan = self.sources[position] = database.compile_select(select)
+        return plan
 
 
 def _trigger_row(table: Table, change: RowChange):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import zlib
 
 import pytest
@@ -36,6 +37,13 @@ from repro.testing import CrashError, FaultInjector
 
 # ---------------------------------------------------------------------------
 # the journal file format
+
+
+def _wait_for_hit(faults: FaultInjector, site: str) -> None:
+    deadline = time.monotonic() + 5.0
+    while faults.hit_count(site) == 0:
+        assert time.monotonic() < deadline, f"{site} never reached"
+        time.sleep(0.001)
 
 
 class TestJournalFormat:
@@ -84,6 +92,115 @@ class TestJournalFormat:
         scan = scan_journal(tmp_path / "j")
         assert [r.seq for r in scan.records] == list(range(20))
         assert scan.segments == len(segments)
+
+    def test_rotation_honours_the_tracked_size(self, tmp_path):
+        """Every segment but the last stays within the limit, and each
+        rotation happens exactly when the next line would overflow."""
+        limit = 300
+        journal = AuditJournal(tmp_path / "j", segment_max_bytes=limit)
+        lines = [
+            encode_record({"seq": i, "kind": "intent",
+                           "data": {"n": "x" * (i % 7)}})
+            for i in range(40)
+        ]
+        for i in range(40):
+            journal.append("intent", {"n": "x" * (i % 7)})
+        journal.close()
+        expected, size = [[]], 0
+        for line in lines:
+            if size + len(line) > limit and size > 0:
+                expected.append([])
+                size = 0
+            expected[-1].append(line)
+            size += len(line)
+        segments = segment_paths(tmp_path / "j")
+        assert [segment.read_bytes() for segment in segments] == [
+            b"".join(group) for group in expected
+        ]
+
+    def test_reopen_tracks_the_repaired_size(self, tmp_path):
+        """After a torn-tail repair the tracked size is the repaired file
+        size: rotation happens where it would on an undamaged file."""
+        limit = 400
+        journal = AuditJournal(tmp_path / "j", segment_max_bytes=limit)
+        for i in range(3):
+            journal.append("intent", {"n": i})
+        journal.close()
+        segment = segment_paths(tmp_path / "j")[-1]
+        repaired_size = segment.stat().st_size
+        with open(segment, "ab") as handle:
+            handle.write(b'0badc0de {"seq":99,"ki')  # crash mid-append
+        journal = AuditJournal(tmp_path / "j", segment_max_bytes=limit)
+        assert journal.repaired_tail_bytes > 0
+        assert journal._offset == repaired_size == segment.stat().st_size
+        size = repaired_size
+        while True:
+            line = encode_record({"seq": journal.next_seq, "kind": "intent",
+                                  "data": {"n": 0}})
+            rotates = size + len(line) > limit
+            journal.append("intent", {"n": 0})
+            if rotates:
+                break
+            size += len(line)
+            assert segment.stat().st_size == size
+            assert len(segment_paths(tmp_path / "j")) == 1
+        journal.close()
+        assert segment.stat().st_size == size
+        assert len(segment_paths(tmp_path / "j")) == 2
+        assert [r.seq for r in scan_journal(tmp_path / "j").records] == \
+            list(range(journal.next_seq))
+
+    def test_owed_fsync_does_not_block_other_appends(self, tmp_path):
+        """A 'batch' append syncs outside the journal lock: while its
+        fsync is slow, other appends still complete — and the slow
+        append returns only once its sync is done."""
+        faults = FaultInjector()
+        faults.arm_latency("journal-fsync", delay_s=0.5)
+        journal = AuditJournal(tmp_path / "j", fsync="batch",
+                               batch_interval=2, faults=faults)
+        journal.append("intent", {"n": 0})
+        slow = threading.Thread(
+            target=journal.append, args=("intent", {"n": 1})
+        )
+        slow.start()
+        _wait_for_hit(faults, "journal-fsync")
+        journal.append("intent", {"n": 2})  # not queued behind the sync
+        assert slow.is_alive() and journal.fsyncs == 0
+        slow.join()
+        assert journal.fsyncs == 1
+        journal.close()
+        assert [r.seq for r in scan_journal(tmp_path / "j").records] == \
+            [0, 1, 2]
+
+    def test_close_syncs_an_owed_fsync_still_in_flight(self, tmp_path):
+        faults = FaultInjector()
+        faults.arm_latency("journal-fsync", delay_s=0.3)
+        journal = AuditJournal(tmp_path / "j", fsync="batch",
+                               batch_interval=1, faults=faults)
+        slow = threading.Thread(
+            target=journal.append, args=("intent", {"n": 0})
+        )
+        slow.start()
+        _wait_for_hit(faults, "journal-fsync")
+        journal.close()  # syncs itself: the in-flight one finds it closed
+        slow.join()
+        assert journal.fsyncs >= 1
+        assert faults.hit_count("journal-fsync") == 2
+
+    def test_failed_owed_fsync_is_retried_by_the_next_append(
+        self, tmp_path
+    ):
+        faults = FaultInjector()
+        faults.arm("journal-fsync", error=OSError("io error"))
+        journal = AuditJournal(tmp_path / "j", fsync="batch",
+                               batch_interval=2, faults=faults)
+        journal.append("intent", {"n": 0})
+        with pytest.raises(OSError):
+            journal.append("intent", {"n": 1})
+        assert journal.fsyncs == 0
+        journal.append("intent", {"n": 2})
+        assert journal.fsyncs == 1
+        journal.close()
 
     def test_invalid_fsync_policy_rejected(self, tmp_path):
         with pytest.raises(DurabilityError, match="fsync"):
